@@ -28,10 +28,12 @@
  * KIPS is host-dependent: only compare files produced on the same
  * machine and build preset (see EXPERIMENTS.md). The output records
  * the compiler, flags, and build type it was produced with so a
- * cross-preset comparison is detectable after the fact.
+ * cross-preset comparison is detectable after the fact, and the commit
+ * of the source tree it was built from.
  */
 
 
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -41,6 +43,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "sim/batch.hh"
 #include "workloads/workloads.hh"
 
 namespace
@@ -120,12 +123,36 @@ nowSeconds()
 #ifndef DMP_BENCH_BUILD_TYPE
 #define DMP_BENCH_BUILD_TYPE "unknown"
 #endif
-#ifndef DMP_BENCH_GIT_SHA
-#define DMP_BENCH_GIT_SHA "unknown"
+#ifndef DMP_BENCH_SOURCE_DIR
+#define DMP_BENCH_SOURCE_DIR "."
 #endif
 #ifndef DMP_BENCH_PRESET
 #define DMP_BENCH_PRESET "unknown"
 #endif
+
+/**
+ * Commit of the source tree this binary was built from, read when it
+ * runs (a SHA stamped at configure time goes stale on the next commit).
+ * "unknown" outside a git checkout.
+ */
+std::string
+gitSha()
+{
+    std::string sha;
+    if (std::FILE *p = popen("git -C '" DMP_BENCH_SOURCE_DIR
+                             "' rev-parse --short=12 HEAD 2>/dev/null",
+                             "r")) {
+        char buf[64];
+        if (std::fgets(buf, sizeof(buf), p))
+            sha = buf;
+        if (pclose(p) != 0)
+            sha.clear();
+    }
+    while (!sha.empty() &&
+           std::isspace(static_cast<unsigned char>(sha.back())))
+        sha.pop_back();
+    return sha.empty() ? "unknown" : sha;
+}
 
 constexpr bool
 selfcheckBuild()
@@ -154,7 +181,7 @@ writeJson(const std::string &path, const std::vector<RunRecord> &runs,
     out << "  \"repeats\": " << repeats << ",\n";
     out << "  \"hardware_concurrency\": "
         << std::thread::hardware_concurrency() << ",\n";
-    out << "  \"git_sha\": \"" << DMP_BENCH_GIT_SHA << "\",\n";
+    out << "  \"git_sha\": \"" << gitSha() << "\",\n";
     out << "  \"compiler\": \"" << DMP_BENCH_COMPILER << "\",\n";
     out << "  \"cxx_flags\": \"" << DMP_BENCH_CXX_FLAGS << "\",\n";
     out << "  \"build_type\": \"" << DMP_BENCH_BUILD_TYPE << "\",\n";
@@ -214,7 +241,7 @@ main()
     double t0 = nowSeconds();
     for (const std::string &wl : wls) {
         for (const auto &[label, fn] : configs) {
-            sim::SimConfig cfg = bench::RunCache::makeConfig(wl, fn);
+            sim::SimConfig cfg = bench::makeConfig(wl, fn);
             RunRecord rec;
             rec.workload = wl;
             rec.wlClass = workloadClass(wl);
@@ -248,7 +275,7 @@ main()
     std::vector<sim::SimConfig> grid;
     for (const std::string &wl : wls)
         for (const auto &[label, fn] : configs)
-            grid.push_back(bench::RunCache::makeConfig(wl, fn));
+            grid.push_back(bench::makeConfig(wl, fn));
     sim::BatchRunner pool; // DMP_BENCH_JOBS or all cores
     double t1 = nowSeconds();
     for (const sim::SimResult &r : pool.run(grid))

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/json.hh"
 #include "isa/isa.hh"
 
 namespace dmp::check
@@ -893,14 +894,14 @@ selfcheckJson(Mode mode, const std::string &target, bool failed,
     std::ostringstream os;
     os << "{\"schema\":" << analysis::kReportSchemaVersion
        << ",\"mode\":\"" << modeName(mode) << "\",\"target\":\""
-       << analysis::jsonEscape(target) << "\",\"failed\":"
+       << json::escape(target) << "\",\"failed\":"
        << (failed ? "true" : "false")
        << ",\"checked_commits\":" << checked_commits
        << ",\"findings\":" << report.json() << ",\"diagnosis\":";
     if (diagnosis.empty())
         os << "null";
     else
-        os << '"' << analysis::jsonEscape(diagnosis) << '"';
+        os << '"' << json::escape(diagnosis) << '"';
     os << "}";
     return os.str();
 }

@@ -1,6 +1,7 @@
 #include "common/json.hh"
 
 #include <cctype>
+#include <cstdio>
 #include <cstdlib>
 
 namespace dmp::json
@@ -30,6 +31,38 @@ Value::asU64() const
     if (!isNumber() || number < 0)
         return 0;
     return std::uint64_t(number);
+}
+
+std::string
+escape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    for (char c : s) {
+        switch (c) {
+          case '"':
+            out += "\\\"";
+            break;
+          case '\\':
+            out += "\\\\";
+            break;
+          case '\n':
+            out += "\\n";
+            break;
+          case '\t':
+            out += "\\t";
+            break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
 }
 
 namespace
@@ -147,6 +180,10 @@ class Parser
                   case 'f':
                     out += '\f';
                     break;
+                  case 'u':
+                    if (!asciiEscape(out))
+                        return false;
+                    break;
                   default:
                     return fail("unsupported escape");
                 }
@@ -159,6 +196,24 @@ class Parser
         if (pos >= s.size())
             return fail("unterminated string");
         ++pos; // closing quote
+        return true;
+    }
+
+    /** \uXXXX at pos (the backslash); only code points up to 0x7F. */
+    bool
+    asciiEscape(std::string &out)
+    {
+        if (pos + 6 > s.size())
+            return fail("truncated \\u escape");
+        std::string hex(s.substr(pos + 2, 4));
+        for (char h : hex)
+            if (!std::isxdigit(static_cast<unsigned char>(h)))
+                return fail("bad hex digit in \\u escape");
+        unsigned long cp = std::strtoul(hex.c_str(), nullptr, 16);
+        if (cp > 0x7f)
+            return fail("unsupported non-ASCII \\u escape");
+        out += char(cp);
+        pos += 4; // the caller skips the backslash and 'u'
         return true;
     }
 

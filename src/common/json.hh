@@ -1,13 +1,14 @@
 /**
  * @file
- * Minimal JSON reader for the telemetry tooling (dmp-report).
+ * Minimal JSON string escaper and reader for the telemetry tooling.
  *
  * The simulator only ever *emits* JSON (stats records, lint reports,
- * trace events); this is the matching reader for the aggregation side:
+ * trace events); every exporter escapes its strings with escape(), and
+ * parse() is the matching reader for the aggregation side (dmp-report):
  * a small recursive-descent parser into a plain Value tree. It accepts
- * exactly the JSON the exporters produce (RFC 8259 minus \uXXXX
- * escapes, which no exporter emits) and reports malformed input with a
- * byte offset instead of throwing.
+ * RFC 8259 minus non-ASCII \uXXXX escapes (escape() emits \u00XX for
+ * control characters only) and reports malformed input with a byte
+ * offset instead of throwing.
  */
 
 #ifndef DMP_COMMON_JSON_HH
@@ -62,6 +63,14 @@ class Value
     /** Number value (0 when not a number). */
     double asDouble() const { return isNumber() ? number : 0.0; }
 };
+
+/**
+ * Escape a string for inclusion in a JSON string literal: quote,
+ * backslash, \n and \t get their short escapes, every other control
+ * character below 0x20 becomes \u00XX. parse() reads the result back
+ * to the original bytes.
+ */
+std::string escape(std::string_view s);
 
 /**
  * Parse one JSON document.

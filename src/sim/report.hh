@@ -142,7 +142,7 @@ ReportTable flushReductionTable(const std::vector<StatsRecord> &records,
                                 const std::string &base_label,
                                 const std::string &enh_label);
 
-/** 100 * (base - enh) / base; 0 when base is 0 (as bench/fig11). */
+/** 100 * (base - enh) / base; 0 when base is 0 (as the fig11 table). */
 double flushReductionPct(std::uint64_t base, std::uint64_t enh);
 
 /**

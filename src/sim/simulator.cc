@@ -8,6 +8,7 @@
 
 #include "analysis/accounting.hh"
 #include "analysis/markgen.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
 
 namespace dmp::sim
@@ -70,30 +71,6 @@ SimResult::dist(const std::string &name) const
 namespace
 {
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            out += c;
-            break;
-        }
-    }
-    return out;
-}
-
 void
 appendNumber(std::ostringstream &os, double v)
 {
@@ -112,8 +89,8 @@ simResultJson(const SimResult &r, const std::string &label,
     std::ostringstream os;
     os.precision(12);
     os << "{\"schema\":" << kStatsSchemaVersion;
-    os << ",\"label\":\"" << jsonEscape(label) << "\"";
-    os << ",\"workload\":\"" << jsonEscape(workload) << "\"";
+    os << ",\"label\":\"" << json::escape(label) << "\"";
+    os << ",\"workload\":\"" << json::escape(workload) << "\"";
     os << ",\"ipc\":";
     appendNumber(os, r.ipc);
     os << ",\"cycles\":" << r.cycles;
@@ -138,21 +115,21 @@ simResultJson(const SimResult &r, const std::string &label,
     os << ",\"counters\":{";
     bool first = true;
     for (const std::string &k : sortedKeys(r.counters)) {
-        os << (first ? "" : ",") << "\"" << jsonEscape(k)
+        os << (first ? "" : ",") << "\"" << json::escape(k)
            << "\":" << r.counters.at(k);
         first = false;
     }
     os << "},\"distributions\":{";
     first = true;
     for (const std::string &k : sortedKeys(r.distributions)) {
-        os << (first ? "" : ",") << "\"" << jsonEscape(k)
+        os << (first ? "" : ",") << "\"" << json::escape(k)
            << "\":" << distSnapshotJson(r.distributions.at(k));
         first = false;
     }
     os << "},\"formulas\":{";
     first = true;
     for (const std::string &k : sortedKeys(r.formulas)) {
-        os << (first ? "" : ",") << "\"" << jsonEscape(k) << "\":";
+        os << (first ? "" : ",") << "\"" << json::escape(k) << "\":";
         appendNumber(os, r.formulas.at(k));
         first = false;
     }

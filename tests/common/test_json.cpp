@@ -47,6 +47,26 @@ TEST(Json, StringEscapes)
     EXPECT_EQ(parseOk("\"a\\nb\\tc\"").string, "a\nb\tc");
 }
 
+TEST(Json, UnicodeEscapesUpToAscii)
+{
+    EXPECT_EQ(parseOk("\"\\u0041\\u000d\\u007F\"").string, "A\r\x7f");
+    EXPECT_NE(parseErr("\"\\u00e9\"").find("non-ASCII"), std::string::npos);
+    EXPECT_NE(parseErr("\"\\u00g1\"").find("hex"), std::string::npos);
+    EXPECT_NE(parseErr("\"\\u00\"").find("offset"), std::string::npos);
+}
+
+TEST(Json, EscapeRoundTripsThroughParse)
+{
+    const std::string raw = "q\"b\\t\tr\rc\x01n\nend";
+    const std::string lit = "\"" + escape(raw) + "\"";
+    for (char c : lit.substr(1, lit.size() - 2))
+        EXPECT_GE(static_cast<unsigned char>(c), 0x20) << lit;
+    EXPECT_EQ(parseOk(lit).string, raw);
+    // Plain text is untouched, so existing exporter output is unchanged.
+    EXPECT_EQ(escape("mcf/base |x=1"), "mcf/base |x=1");
+    EXPECT_EQ(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+}
+
 TEST(Json, ArraysAndNesting)
 {
     Value v = parseOk("[1, [2, 3], {\"k\": 4}]");
