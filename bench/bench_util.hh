@@ -9,8 +9,8 @@
  *   DMP_BENCH_WORKLOADS comma-separated subset of workloads to run
  *   DMP_BENCH_ACCT      any non-empty value attaches the cycle
  *                        accounting sink to every run, so exported
- *                        records carry the accounting block (requires
- *                        DMP_TRACING=ON; changes config fingerprints)
+ *                        records carry the accounting block (changes
+ *                        config fingerprints)
  * DMP_BENCH_JOBS is read by sim::BatchRunner. Malformed values are
  * fatal: a typo must not silently shrink or change the experiment.
  */
@@ -19,8 +19,7 @@
 #define DMP_BENCH_BENCH_UTIL_HH
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
 #include <string>
@@ -38,16 +37,7 @@ inline std::uint64_t
 benchIterations()
 {
     const char *env = std::getenv("DMP_BENCH_ITERS");
-    if (!env)
-        return 2000;
-    char *end = nullptr;
-    errno = 0;
-    std::uint64_t n = std::strtoull(env, &end, 0);
-    if (!std::isdigit(static_cast<unsigned char>(*env)) || *end || !n ||
-        errno == ERANGE)
-        dmp_fatal("DMP_BENCH_ITERS='", env,
-                  "' is not a positive iteration count");
-    return n;
+    return env ? parseCount("DMP_BENCH_ITERS", env, 1, UINT64_MAX) : 2000;
 }
 
 /**

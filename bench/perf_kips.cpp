@@ -14,10 +14,10 @@
  *      job count, timed end-to-end, to track the parallel engine.
  *
  * The single-job phase runs every (workload x config) cell
- * DMP_BENCH_REPEATS times (default 3) and keeps the best repeat: the
- * simulator is deterministic, so the spread between repeats is pure
- * host noise (scheduling, frequency scaling, cache pollution from the
- * previous cell) and the minimum wall-clock is the least-noisy
+ * DMP_BENCH_REPEATS times (default 3, at most 100) and keeps the best
+ * repeat: the simulator is deterministic, so the spread between repeats
+ * is pure host noise (scheduling, frequency scaling, cache pollution
+ * from the previous cell) and the minimum wall-clock is the least-noisy
  * estimate. All repeat timings are preserved in the JSON so the noise
  * floor stays visible.
  *
@@ -68,12 +68,8 @@ struct RunRecord
 unsigned
 benchRepeats()
 {
-    if (const char *env = std::getenv("DMP_BENCH_REPEATS")) {
-        long v = std::strtol(env, nullptr, 10);
-        if (v >= 1 && v <= 100)
-            return unsigned(v);
-    }
-    return 3;
+    const char *env = std::getenv("DMP_BENCH_REPEATS");
+    return env ? unsigned(parseCount("DMP_BENCH_REPEATS", env, 1, 100)) : 3;
 }
 
 
@@ -154,16 +150,6 @@ gitSha()
     return sha.empty() ? "unknown" : sha;
 }
 
-constexpr bool
-selfcheckBuild()
-{
-#ifdef DMP_SELFCHECK_BUILD
-    return true;
-#else
-    return false;
-#endif
-}
-
 void
 writeJson(const std::string &path, const std::vector<RunRecord> &runs,
           unsigned repeats, double singleWall, double batchedWall,
@@ -186,8 +172,6 @@ writeJson(const std::string &path, const std::vector<RunRecord> &runs,
     out << "  \"cxx_flags\": \"" << DMP_BENCH_CXX_FLAGS << "\",\n";
     out << "  \"build_type\": \"" << DMP_BENCH_BUILD_TYPE << "\",\n";
     out << "  \"preset\": \"" << DMP_BENCH_PRESET << "\",\n";
-    out << "  \"selfcheck_build\": "
-        << (selfcheckBuild() ? "true" : "false") << ",\n";
     out << "  \"single_job\": {\n";
 
     out << "    \"wall_seconds\": " << singleWall << ",\n";

@@ -203,7 +203,7 @@ CoreChecker::diagnosis() const
 }
 
 void
-CoreChecker::onCycleEnd()
+CoreChecker::onCycleEnd(const core::AcctCycleSample &)
 {
     if (plan.kind != FaultKind::None && !injected &&
         core.now >= plan.notBefore) {
@@ -218,7 +218,8 @@ CoreChecker::onCycleEnd()
 }
 
 void
-CoreChecker::onRetire(const DynInst &di, std::uint64_t seq, PredId pred)
+CoreChecker::onRetire(const DynInst &di, std::uint64_t seq, PredId pred,
+                      Cycle)
 {
     history.push_back(
         RetiredRec{seq, di.pc, di.kind, pred, di.predValue, core.now});
@@ -230,9 +231,9 @@ CoreChecker::onRetire(const DynInst &di, std::uint64_t seq, PredId pred)
 
 
 void
-CoreChecker::onFlush(std::uint64_t survive_seq, Addr redirect_pc)
+CoreChecker::onFlush(const core::FlushEvent &f, Cycle)
 {
-    flushes.push_back(FlushRec{core.now, survive_seq, redirect_pc});
+    flushes.push_back(FlushRec{core.now, f.surviveSeq, f.redirectPc});
     if (flushes.size() > opt.historyDepth)
         flushes.pop_front();
     if (wantsInvariants(opt.mode)) {

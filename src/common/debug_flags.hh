@@ -6,8 +6,7 @@
  * (Fetch, Rename, Dpred, ...). Flags are runtime-enabled via
  * `dmp-run --debug-flags=Dpred,Commit`, the DMP_DEBUG environment
  * variable, or programmatically; with every flag disabled the check is
- * a single relaxed load + predictable branch, and a build configured
- * with -DDMP_TRACING=OFF compiles all trace statements out entirely.
+ * a single relaxed load + predictable branch.
  */
 
 #ifndef DMP_COMMON_DEBUG_FLAGS_HH
@@ -17,11 +16,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-/** Compile-time master switch (see DMP_TRACING in CMakeLists.txt). */
-#ifndef DMP_TRACING_ON
-#define DMP_TRACING_ON 1
-#endif
 
 namespace dmp::trace
 {
@@ -77,13 +71,8 @@ extern std::atomic<std::uint64_t> gFlagMask;
 inline bool
 enabled(Flag f)
 {
-#if DMP_TRACING_ON
     return (detail::gFlagMask.load(std::memory_order_relaxed) &
             (std::uint64_t(1) << unsigned(f))) != 0;
-#else
-    (void)f;
-    return false;
-#endif
 }
 
 } // namespace dmp::trace

@@ -1,5 +1,7 @@
 #include "common/logging.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <mutex>
 #include <set>
@@ -64,4 +66,20 @@ resetWarnOnce()
 }
 
 } // namespace detail
+
+std::uint64_t
+parseCount(const char *what, const char *text, std::uint64_t min,
+           std::uint64_t max)
+{
+    char *end = nullptr;
+    errno = 0;
+    const std::uint64_t n = std::strtoull(text, &end, 0);
+    if (!std::isdigit(static_cast<unsigned char>(*text)) || *end ||
+        errno == ERANGE || n < min || n > max) {
+        dmp_fatal(what, "='", text, "' is not an integer in [", min, ", ",
+                  max, "]");
+    }
+    return n;
+}
+
 } // namespace dmp

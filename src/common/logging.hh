@@ -13,6 +13,7 @@
 #ifndef DMP_COMMON_LOGGING_HH
 #define DMP_COMMON_LOGGING_HH
 
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -81,6 +82,16 @@ concat(Args &&...args)
                                       ##__VA_ARGS__)); \
         } \
     } while (0)
+
+/**
+ * Parse a numeric user input (environment knob or command-line flag)
+ * as an unsigned integer in [min, max]: decimal, or 0x-hex / 0-octal
+ * as strtoull base 0 reads them. Fatal, naming `what`, on anything
+ * else — a sign or leading space, trailing text, overflow, or a value
+ * out of range — so a typo never silently resizes or changes a run.
+ */
+std::uint64_t parseCount(const char *what, const char *text,
+                         std::uint64_t min, std::uint64_t max);
 
 } // namespace dmp
 

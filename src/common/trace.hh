@@ -9,7 +9,7 @@
  * to the trace output (stderr by default, or a file via setOutputFile /
  * dmp-run --trace-file). Records are formatted only when the flag is
  * enabled, so a disabled flag costs one relaxed load and a predictable
- * branch; -DDMP_TRACING=OFF removes the statements entirely.
+ * branch.
  *
  * PipeView writes per-instruction lifecycle records in the gem5
  * O3PipeView format (one tick per cycle), which the Konata pipeline
@@ -94,13 +94,6 @@ class PipeView
     std::uint64_t nRecords = 0;
 };
 
-/** True when DMP_TRACE statements (and accounting probes) compile in. */
-constexpr bool
-tracingCompiledIn()
-{
-    return DMP_TRACING_ON != 0;
-}
-
 /**
  * Chrome trace-event JSON writer (Perfetto-loadable).
  *
@@ -170,8 +163,7 @@ class TraceEventWriter
  */
 #define DMP_TRACE(flag, cycle, seq, component, ...) \
     do { \
-        if (DMP_TRACING_ON && \
-            ::dmp::trace::enabled(::dmp::trace::Flag::flag)) { \
+        if (::dmp::trace::enabled(::dmp::trace::Flag::flag)) { \
             ::dmp::trace::emitRecord( \
                 ::dmp::trace::Flag::flag, (cycle), (seq), (component), \
                 ::dmp::detail::concat(__VA_ARGS__)); \

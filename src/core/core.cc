@@ -213,8 +213,6 @@ Core::Core(const isa::Program &program, const CoreParams &params)
 
 Core::~Core() = default;
 
-SelfCheckSink::~SelfCheckSink() = default;
-
 void
 Core::reset()
 {
@@ -284,7 +282,8 @@ Core::reset()
         oracle->reset();
     wpRecords.clear();
 
-    scNotifyReset();
+    for (CoreObserver *o : observers)
+        o->onReset();
 }
 
 bool
@@ -296,11 +295,10 @@ Core::tick()
     if (isHalted) {
         st.stageActiveCycles.sample(active);
         lastTickIdle = false;
-        acNotifyCycleEnd();
         ++st.cycles;
         ++now;
         finalizeAllClassifiers();
-        scNotifyCycleEnd();
+        notifyCycleEnd();
         return false;
     }
     active += unsigned(completeStage());
@@ -309,10 +307,9 @@ Core::tick()
     active += unsigned(fetchStage());
     st.stageActiveCycles.sample(active);
     lastTickIdle = active == 0;
-    acNotifyCycleEnd();
     ++st.cycles;
     ++now;
-    scNotifyCycleEnd();
+    notifyCycleEnd();
     return true;
 }
 
@@ -326,13 +323,16 @@ Core::run(std::uint64_t max_insts, std::uint64_t max_cycles)
                                  st.retiredFalseInsts.value();
     // Cycle skipping: after an idle tick the machine state is a fixed
     // point until the next time-driven wake, so the clock can jump
-    // there directly. Disabled when a self-check sink is attached (the
+    // there directly. Disabled when an observer needs every cycle (the
     // checker samples per real tick) or under DMP_FORCE_FULL_SCAN (the
     // lockstep property tests compare the two modes). The skip length
     // is capped so a bogus wake computation still trips the deadlock
     // detector instead of spinning the clock forever.
     const bool allow_skip =
-        selfCheck == nullptr &&
+        std::none_of(observers.begin(), observers.end(),
+                     [](const CoreObserver *o) {
+                         return o->needsEveryCycle();
+                     }) &&
         std::getenv("DMP_FORCE_FULL_SCAN") == nullptr;
     constexpr std::uint64_t kMaxSkip = 100000;
     while (!isHalted && st.retiredInsts.value() - start < max_insts &&
@@ -345,7 +345,7 @@ Core::run(std::uint64_t max_insts, std::uint64_t max_cycles)
                 k = std::min(k, max_cycles - (now - start_cycle));
                 k = std::min(k, kMaxSkip);
                 if (k > 0) {
-                    acNotifyIdleSpan(k);
+                    notifyIdleSpan(k);
                     now += k;
                     st.cycles += k;
                     st.cyclesSkipped += k;
@@ -476,7 +476,7 @@ Core::killEpisode(Episode &ep)
         fdp.clear();
     if (fdual.episodeId == ep.id)
         fdual.clear();
-    acNotifyEpisodeEnd(ep);
+    notifyEpisodeEnd(ep);
 }
 
 void
@@ -488,11 +488,12 @@ Core::classifyExit(Episode &ep, ExitCase c)
     st.episodeLength.sample(ep.fetchedInsts);
     DMP_TRACE(Dpred, now, 0, "core.dpred", "EP", ep.id, " exit case ",
               unsigned(c), " after ", ep.fetchedInsts, " insts");
-    acNotifyEpisodeEnd(ep);
+    notifyEpisodeEnd(ep);
 }
 
 void
-Core::pipeViewEmit(const DynInst &di, std::uint64_t seq, bool squashed)
+PipeViewObserver::emit(const DynInst &di, std::uint64_t seq, Cycle now,
+                       bool squashed)
 {
     trace::PipeView::Record r;
     r.seq = seq;
@@ -532,7 +533,7 @@ Core::pipeViewEmit(const DynInst &di, std::uint64_t seq, bool squashed)
     r.complete = widen(di.completedAt);
     r.retire = now;
     r.squashed = squashed;
-    pipeView->emit(r);
+    out.emit(r);
 }
 
 // ---------------------------------------------------------------------

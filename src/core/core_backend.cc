@@ -439,7 +439,7 @@ Core::resolveDualFork(DynInst &di, Episode &ep)
         if (oracle && win_pc != kNoAddr)
             oracle->onRedirect(win_pc);
     }
-    acNotifyEpisodeEnd(ep);
+    notifyEpisodeEnd(ep);
 }
 
 void
@@ -498,7 +498,6 @@ Core::flushAfter(InstRef branch_ref, Addr redirect_pc)
     noteFlushForClassifier(b_seq);
     std::uint64_t squashed = squashYoungerThan(b_seq);
     st.flushDepth.sample(squashed);
-    acNotifyFlush(b.pc, squashed);
     sb.squashYoungerThan(b_seq);
     clearFetchQueue();
 
@@ -528,7 +527,8 @@ Core::flushAfter(InstRef branch_ref, Addr redirect_pc)
 
     dualAltMapValid = false;
     redirectFetch(redirect_pc);
-    scNotifyFlush(b_seq, redirect_pc);
+    for (CoreObserver *o : observers)
+        o->onFlush(FlushEvent{b.pc, b_seq, redirect_pc, squashed}, now);
 }
 
 
@@ -546,8 +546,8 @@ Core::squashYoungerThan(std::uint64_t survive_seq)
             ++st.flushedInsts;
             ++squashed;
         }
-        if (pipeView)
-            pipeViewEmit(di, seq, true);
+        for (CoreObserver *o : observers)
+            o->onSquash(di, seq, now);
         if (di.hasDest)
             prf.free(robDest[slot], 1, seq); // squash
         if (di.checkpointId >= 0)

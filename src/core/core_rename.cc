@@ -29,7 +29,8 @@ Core::renameStage()
         if (fi.renameReadyAt > now)
             break;
         if (!renameOne(fi)) {
-            acNoteRenameBlocked();
+            if (!observers.empty())
+                acRenameBlocked = true;
             break; // resource stall (side-effect-free failure)
         }
         fetchQueue.pop_front();

@@ -114,11 +114,8 @@ profileFingerprint(const SimConfig &cfg)
 unsigned
 BatchRunner::defaultJobs()
 {
-    if (const char *env = std::getenv("DMP_BENCH_JOBS")) {
-        unsigned long n = std::strtoul(env, nullptr, 0);
-        if (n > 0)
-            return unsigned(n);
-    }
+    if (const char *env = std::getenv("DMP_BENCH_JOBS"))
+        return unsigned(parseCount("DMP_BENCH_JOBS", env, 1, kMaxJobs));
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }

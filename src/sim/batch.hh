@@ -98,7 +98,13 @@ class BatchRunner
     BatchRunner(const BatchRunner &) = delete;
     BatchRunner &operator=(const BatchRunner &) = delete;
 
-    /** DMP_BENCH_JOBS if set (>0), else hardware_concurrency, min 1. */
+    /** Upper bound on DMP_BENCH_JOBS and dmp-run --jobs. */
+    static constexpr unsigned kMaxJobs = 1024;
+
+    /**
+     * DMP_BENCH_JOBS if set (fatal unless in [1, kMaxJobs]), else
+     * hardware_concurrency, min 1.
+     */
     static unsigned defaultJobs();
 
     /** Number of worker threads in this pool. */

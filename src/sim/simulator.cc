@@ -200,28 +200,19 @@ runSimOnProgram(const isa::Program &ref,
 
     std::unique_ptr<check::CoreChecker> checker;
     if (cfg.selfcheck != check::Mode::Off) {
-        if (!check::buildEnabled()) {
-            dmp_fatal("selfcheck requested but this binary was built "
-                      "with DMP_SELFCHECK_BUILD=OFF");
-        }
         check::CheckerOptions copt;
         copt.mode = cfg.selfcheck;
         checker = std::make_unique<check::CoreChecker>(ref, machine, copt);
         if (cfg.faultPlan)
             checker->injectFault(*cfg.faultPlan);
-        machine.setSelfCheck(checker.get());
+        machine.addObserver(checker.get());
     }
 
     std::unique_ptr<analysis::CycleAccounting> acct;
     if (cfg.accounting) {
-        if (!trace::tracingCompiledIn()) {
-            dmp_fatal("accounting requested but this binary was built "
-                      "with DMP_TRACING=OFF (the probes are compiled "
-                      "out)");
-        }
         acct = std::make_unique<analysis::CycleAccounting>(
             cfg.core.frontendDepth, cfg.core.retireWidth);
-        machine.setAccounting(acct.get());
+        machine.addObserver(acct.get());
     }
 
     auto host_start = std::chrono::steady_clock::now();

@@ -10,7 +10,7 @@
  *   --mode=base|dhp|dmp|dmp-enhanced|dual   machine mode
  *   --sweep=m1,m2,...    run several machine modes in parallel and
  *                        print a comparison table ("all" = every mode)
- *   --jobs=N             worker threads for --sweep (default: all
+ *   --jobs=N             worker threads for --sweep (default or 0: all
  *                        cores, or DMP_BENCH_JOBS)
  *   --iters=N            workload loop iterations (default 2000)
  *   --seed=N             data seed of the measured run
@@ -31,8 +31,7 @@
  *   --selfcheck[=MODE]   run under the microarchitectural self-checker
  *                        (MODE: all | invariants | lockstep | off;
  *                        bare --selfcheck = all). Also: DMP_SELFCHECK
- *                        env. Requires a DMP_SELFCHECK_BUILD=ON build;
- *                        the first broken invariant or architectural
+ *                        env. The first broken invariant or architectural
  *                        divergence aborts with a diagnosis and exit 1
  *   --selfcheck-json=PATH  write the self-check outcome (schema 1,
  *                        see EXPERIMENTS.md) to PATH
@@ -49,8 +48,7 @@
  *   --accounting         attach the top-down cycle-accounting sink:
  *                        prints the bucket breakdown and per-branch
  *                        diverge analytics, and embeds the accounting
- *                        block in --stats-json records. Requires a
- *                        build with DMP_TRACING=ON (the default)
+ *                        block in --stats-json records
  *   --perfetto=PATH      write a Chrome/Perfetto trace-event JSON file
  *                        (top-down slices, episode async spans, flush
  *                        instants; implies --accounting; single-run
@@ -58,6 +56,8 @@
  */
 
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -150,17 +150,18 @@ parse(int argc, char **argv)
             o.sweep = v;
         }
         else if (flagValue(a, "--jobs", v))
-            o.jobs = unsigned(std::strtoul(v.c_str(), nullptr, 0));
+            o.jobs = unsigned(
+                parseCount("--jobs", v.c_str(), 0, sim::BatchRunner::kMaxJobs));
         else if (flagValue(a, "--iters", v))
-            o.iters = std::strtoull(v.c_str(), nullptr, 0);
+            o.iters = parseCount("--iters", v.c_str(), 1, UINT64_MAX);
         else if (flagValue(a, "--seed", v))
-            o.seed = std::strtoull(v.c_str(), nullptr, 0);
+            o.seed = parseCount("--seed", v.c_str(), 0, UINT64_MAX);
         else if (flagValue(a, "--rob", v))
-            o.rob = unsigned(std::strtoul(v.c_str(), nullptr, 0));
+            o.rob = unsigned(parseCount("--rob", v.c_str(), 1, UINT_MAX));
         else if (flagValue(a, "--depth", v))
-            o.depth = unsigned(std::strtoul(v.c_str(), nullptr, 0));
+            o.depth = unsigned(parseCount("--depth", v.c_str(), 1, UINT_MAX));
         else if (flagValue(a, "--width", v))
-            o.width = unsigned(std::strtoul(v.c_str(), nullptr, 0));
+            o.width = unsigned(parseCount("--width", v.c_str(), 1, UINT_MAX));
         else if (flagValue(a, "--predictor", v))
             o.predictor = v;
         else if (std::strcmp(a, "--perfect-cbp") == 0)
@@ -430,16 +431,6 @@ runMain(int argc, char **argv)
                 dmp_fatal("DMP_SELFCHECK: unknown mode: ", env);
         }
     }
-    if (o.selfcheck != check::Mode::Off && !check::buildEnabled()) {
-        dmp_fatal("--selfcheck requires a build with "
-                  "DMP_SELFCHECK_BUILD=ON (the release/performance "
-                  "presets compile the hooks out)");
-    }
-
-    if (o.accounting && !trace::tracingCompiledIn()) {
-        dmp_fatal("--accounting/--perfetto require a build with "
-                  "DMP_TRACING=ON (the probes are compiled out here)");
-    }
     if (!o.sweep.empty()) {
         if (!o.perfetto.empty())
             dmp_fatal("--perfetto is single-run only (the trace would "
@@ -514,17 +505,17 @@ runMain(int argc, char **argv)
                 (unsigned long long)report.markedSimpleHammock);
 
     core::Core machine(prog, params);
-    std::unique_ptr<trace::PipeView> pv;
+    std::unique_ptr<core::PipeViewObserver> pv;
     if (!o.pipeview.empty()) {
-        pv = std::make_unique<trace::PipeView>(o.pipeview);
-        machine.setPipeView(pv.get());
+        pv = std::make_unique<core::PipeViewObserver>(o.pipeview);
+        machine.addObserver(pv.get());
     }
     std::unique_ptr<check::CoreChecker> checker;
     if (o.selfcheck != check::Mode::Off) {
         check::CheckerOptions copt;
         copt.mode = o.selfcheck;
         checker = std::make_unique<check::CoreChecker>(prog, machine, copt);
-        machine.setSelfCheck(checker.get());
+        machine.addObserver(checker.get());
     }
     std::unique_ptr<analysis::CycleAccounting> acct;
     std::unique_ptr<trace::TraceEventWriter> perfetto;
@@ -536,7 +527,7 @@ runMain(int argc, char **argv)
                 std::make_unique<trace::TraceEventWriter>(o.perfetto);
             acct->attachTrace(perfetto.get());
         }
-        machine.setAccounting(acct.get());
+        machine.addObserver(acct.get());
     }
     auto host_start = std::chrono::steady_clock::now();
     try {

@@ -111,7 +111,7 @@ TEST(CycleAccounting, ClassificationPriority)
 TEST(CycleAccounting, FlushShadowChargesRecovery)
 {
     CycleAccounting acct(3, 4); // frontendDepth 3
-    acct.onFlush(0x1000, 12, 10);
+    acct.onFlush({.branchPc = 0x1000, .squashed = 12}, 10);
     core::AcctCycleSample s = sample(10);
     acct.onCycleEnd(s); // 10, 11, 12 fall in the shadow
     acct.onCycleEnd(sample(11));
@@ -119,7 +119,7 @@ TEST(CycleAccounting, FlushShadowChargesRecovery)
     acct.onCycleEnd(sample(13)); // shadow over -> backend stall
     // Retirement still outranks the shadow.
     s = sample(14);
-    acct.onFlush(0x1000, 1, 14);
+    acct.onFlush({.branchPc = 0x1000, .squashed = 1}, 14);
     s.usefulRetired = 1;
     acct.onCycleEnd(s);
     acct.finish();
@@ -240,9 +240,6 @@ modeParams(const std::string &mode)
 
 TEST(CycleAccountingInvariant, BucketsSumToCyclesOnEveryWorkloadAndMode)
 {
-    if (!trace::tracingCompiledIn())
-        GTEST_SKIP() << "accounting probes compiled out (DMP_TRACING=OFF)";
-
     const std::vector<std::string> modes = {"base", "dhp", "dmp",
                                             "dmp-enhanced", "dual"};
     std::vector<sim::SimConfig> grid;

@@ -3,15 +3,20 @@
  * Self-checker unit and integration tests: mode parsing, the
  * non-perturbation guarantee (an attached checker observes but never
  * changes timing), flush-recovery invariant passes under heavy
- * misprediction, CheckError/JSON surfaces, and SimConfig/BatchRunner
- * integration (a check failure fails that run's future, not the batch).
+ * misprediction, CheckError/JSON surfaces, SimConfig/BatchRunner
+ * integration (a check failure fails that run's future, not the batch),
+ * and observer fan-out (checker, accounting and pipeview on one core).
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <memory>
+#include <sstream>
 #include <string>
 
 #include "../testutil.hh"
+#include "analysis/accounting.hh"
 #include "analysis/report.hh"
 #include "check/checker.hh"
 #include "isa/program.hh"
@@ -91,8 +96,6 @@ TEST(SelfCheck, ModeParsing)
  */
 TEST(SelfCheck, CheckerDoesNotPerturbTiming)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     Program prog = flushyProgram(400);
 
     core::Core bare(prog, test::baselineParams());
@@ -101,7 +104,7 @@ TEST(SelfCheck, CheckerDoesNotPerturbTiming)
 
     core::Core watched(prog, test::baselineParams());
     check::CoreChecker checker(prog, watched);
-    watched.setSelfCheck(&checker);
+    watched.addObserver(&checker);
     watched.run(~0ULL, 2'000'000);
     ASSERT_TRUE(watched.halted());
 
@@ -125,14 +128,12 @@ TEST(SelfCheck, CheckerDoesNotPerturbTiming)
  */
 TEST(SelfCheck, FlushRecoveryStaysCleanUnderMispredictStorm)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     Program prog = flushyProgram(1200);
     core::Core machine(prog, test::baselineParams());
     check::CheckerOptions opts;
     opts.deepStride = 1; // deep pass every cycle AND after every flush
     check::CoreChecker checker(prog, machine, opts);
-    machine.setSelfCheck(&checker);
+    machine.addObserver(&checker);
     EXPECT_NO_THROW(machine.run(~0ULL, 4'000'000));
     EXPECT_TRUE(machine.halted());
     EXPECT_GT(machine.stats().retiredMispredCondBranches.value(), 100u)
@@ -196,8 +197,6 @@ smallConfig(const std::string &workload)
 /** cfg.selfcheck turns checks on without changing the results. */
 TEST(SelfCheck, RunSimWithSelfcheckMatchesBareRun)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     sim::SimConfig bare = smallConfig("mcf");
     sim::SimConfig checked = bare;
     checked.selfcheck = check::Mode::All;
@@ -231,8 +230,6 @@ TEST(SelfCheck, FingerprintSeparatesSelfcheckConfigs)
  */
 TEST(SelfCheck, BatchFaultFailsOnlyThatRunsFuture)
 {
-    if (!check::buildEnabled())
-        GTEST_SKIP() << "built with DMP_SELFCHECK_BUILD=OFF";
     sim::SimConfig clean = smallConfig("bzip2");
     clean.selfcheck = check::Mode::All;
     check::FaultPlan plan{check::FaultKind::RobSeqSwap, 0};
@@ -253,6 +250,98 @@ TEST(SelfCheck, BatchFaultFailsOnlyThatRunsFuture)
     // still servable.
     EXPECT_THROW(runner.submit(faulted).get(), check::CheckError);
     EXPECT_EQ(runner.get(clean).retiredInsts, ok.retiredInsts);
+}
+
+/** Everything one observed run of flushyProgram produces. */
+struct ObservedRun
+{
+    std::uint64_t cycles = 0;
+    std::uint64_t retired = 0;
+    isa::ArchState state;
+    std::uint64_t checkedCommits = 0;
+    std::uint64_t acctCycles = 0;
+    std::uint64_t pipeRecords = 0;
+    std::string acctJson;
+    std::string perfetto;
+    std::string pipeview;
+};
+
+/**
+ * Run flushyProgram with any subset of the three observers attached to
+ * one core; output files are named by `tag` so runs never share them.
+ */
+ObservedRun
+observe(bool with_checker, bool with_acct, bool with_pipeview,
+        const std::string &tag)
+{
+    Program prog = flushyProgram(400);
+    core::CoreParams params = test::baselineParams();
+    core::Core machine(prog, params);
+    const std::string path = testing::TempDir() + "dmp_fanout_" + tag;
+    auto slurp = [](const std::string &file) {
+        std::ifstream in(file);
+        std::ostringstream os;
+        os << in.rdbuf();
+        return os.str();
+    };
+
+    check::CoreChecker checker(prog, machine);
+    analysis::CycleAccounting acct(params.frontendDepth, params.retireWidth);
+    trace::TraceEventWriter perfetto(path + ".json");
+    acct.attachTrace(&perfetto);
+    auto pipeview = std::make_unique<core::PipeViewObserver>(path + ".trace");
+    if (with_checker)
+        machine.addObserver(&checker);
+    if (with_acct)
+        machine.addObserver(&acct);
+    if (with_pipeview)
+        machine.addObserver(pipeview.get());
+
+    machine.run(~0ULL, 2'000'000);
+    EXPECT_TRUE(machine.halted()) << tag;
+
+    ObservedRun r;
+    r.pipeRecords = pipeview->count();
+    acct.finish();
+    perfetto.close();
+    pipeview.reset(); // flush and close the file
+    r.cycles = machine.stats().cycles.value();
+    r.retired = machine.stats().retiredInsts.value();
+    r.state = machine.retiredState();
+    r.checkedCommits = checker.checkedCommits();
+    r.acctCycles = acct.totalCycles();
+    r.acctJson = acct.json();
+    r.perfetto = slurp(path + ".json");
+    r.pipeview = slurp(path + ".trace");
+    return r;
+}
+
+/**
+ * Observers are independent: all three on one core see the same run a
+ * bare core makes, and each writes byte-for-byte what it writes when
+ * attached alone (the checker also turns cycle skipping off, which
+ * must not change accounting or pipeview output either).
+ */
+TEST(SelfCheck, ObserverFanOutMatchesEachObserverAlone)
+{
+    const ObservedRun bare = observe(false, false, false, "bare");
+    const ObservedRun all = observe(true, true, true, "all");
+    const ObservedRun checked = observe(true, false, false, "checker");
+    const ObservedRun acct = observe(false, true, false, "acct");
+    const ObservedRun piped = observe(false, false, true, "pipeview");
+
+    EXPECT_EQ(all.cycles, bare.cycles);
+    EXPECT_EQ(all.retired, bare.retired);
+    EXPECT_EQ(all.state.regs, bare.state.regs);
+
+    EXPECT_GT(all.checkedCommits, 0u);
+    EXPECT_EQ(all.checkedCommits, checked.checkedCommits);
+
+    EXPECT_EQ(acct.acctCycles, bare.cycles);
+    EXPECT_EQ(all.acctJson, acct.acctJson);
+    EXPECT_EQ(all.perfetto, acct.perfetto);
+    EXPECT_GT(piped.pipeRecords, 0u);
+    EXPECT_EQ(all.pipeview, piped.pipeview);
 }
 
 } // namespace

@@ -53,15 +53,14 @@ sweepConfig(const std::string &workload, const core::CoreParams &core)
     cfg.train.iterations = 40;
     cfg.ref.iterations = 40;
     cfg.marker.profileInsts = 40000;
-    cfg.accounting = trace::tracingCompiledIn();
+    cfg.accounting = true;
     return cfg;
 }
 
 void
 expectBucketInvariant(const sim::SimResult &r, const std::string &what)
 {
-    if (!r.hasAccounting)
-        return;
+    ASSERT_TRUE(r.hasAccounting) << what;
     std::uint64_t sum = 0;
     for (const char *b : kBuckets)
         sum += r.require(b);
